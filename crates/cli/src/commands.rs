@@ -1112,11 +1112,48 @@ pub fn wire_golden(args: &[String], out: Out) -> Result<(), String> {
         )?;
         count += 1;
     }
+    // Framed uploads: the StartTest header + DataChunk framing (and its
+    // Fletcher-16 checksums) around a request body, pinned byte-for-byte
+    // in both directions like the binary message frames.
+    let mut uploads = 0usize;
+    for (name, fixture) in medsen_gateway::wire::golden::uploads() {
+        let path = dir.join(format!("{name}.bin"));
+        let encoded = fixture.encode();
+        uploads += 1;
+        if write {
+            std::fs::write(&path, &encoded)
+                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            continue;
+        }
+        let committed = std::fs::read(&path)
+            .map_err(|e| format!("read {} (run with --write to create): {e}", path.display()))?;
+        let (session, format, body, trace) = medsen_gateway::wire::decode_upload_traced(&committed)
+            .map_err(|e| format!("{name}.bin: upload decode: {e}"))?;
+        let (request, body_trace) = decode_request_traced(format, &body)
+            .map_err(|e| format!("{name}.bin: body decode: {e}"))?;
+        if session != medsen_gateway::wire::golden::SESSION_ID
+            || format != fixture.format
+            || trace != fixture.trace
+            || body_trace != (fixture.trace != 0).then_some(fixture.trace)
+            || request != fixture.request
+        {
+            return Err(format!(
+                "{name}.bin: decoded upload drifted from the fixture corpus"
+            ));
+        }
+        if committed != encoded {
+            return Err(format!(
+                "{name}.bin: re-encoding produced different bytes ({} committed vs {} built) — upload framing drifted",
+                committed.len(),
+                encoded.len()
+            ));
+        }
+    }
     let action = if write { "wrote" } else { "verified" };
     wl(
         out,
         format!(
-            "golden frames: {action} {count} fixtures (binary + JSON) in {}",
+            "golden frames: {action} {count} fixtures (binary + JSON) and {uploads} framed uploads in {}",
             dir.display()
         ),
     );

@@ -277,6 +277,88 @@ pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u6
     Ok((session_id, format, body, trace))
 }
 
+/// The deterministic framed-upload corpus behind the committed
+/// `tests/golden/upload_*.bin` fixtures (`medsen-cli wire-golden
+/// tests/golden --write`). Each fixture is pinned byte-for-byte in both
+/// directions, so any change to the `StartTest`/`DataChunk` framing or
+/// its checksum shows up as a drifted byte.
+pub mod golden {
+    use super::encode_upload_traced;
+    use medsen_cloud::wire::{encode_request_traced, golden::TRACE_ID};
+    use medsen_cloud::Request;
+    use medsen_impedance::{Channel, SignalTrace};
+    use medsen_units::Hertz;
+    use medsen_wire::WireFormat;
+
+    /// Session id every upload fixture is framed for.
+    pub const SESSION_ID: u64 = 0x0000_0013_5E55_10AD;
+
+    /// One pinned upload: a request and how a dongle session frames it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Upload {
+        /// The request the upload body carries.
+        pub request: Request,
+        /// Wire format of the body and of the header's format tag.
+        pub format: WireFormat,
+        /// Trace id in the header and body envelope; 0 for the legacy
+        /// 13-byte header.
+        pub trace: u64,
+    }
+
+    impl Upload {
+        /// Frames the fixture exactly as a dongle session does: encode
+        /// the (traced) request body, then frame it for [`SESSION_ID`].
+        pub fn encode(&self) -> Vec<u8> {
+            let body = encode_request_traced(self.format, &self.request, self.trace)
+                .expect("fixture requests encode");
+            encode_upload_traced(SESSION_ID, self.format, &body, self.trace)
+        }
+    }
+
+    /// A two-channel trace whose binary body spans three full
+    /// [`super::CHUNK_SIZE`] chunks plus a remainder. Every sample is a
+    /// dyadic rational, so the bytes are identical on every platform.
+    fn multi_chunk_trace() -> SignalTrace {
+        let channel = |carrier_khz: f64, offset: u32| {
+            let mut ch = Channel::new(Hertz::from_khz(carrier_khz));
+            ch.samples = (0..900u32)
+                .map(|i| 1.0 + f64::from((i + offset) % 64) / 256.0)
+                .collect();
+            ch
+        };
+        SignalTrace::new(
+            Hertz::new(450.0),
+            vec![channel(500.0, 0), channel(2000.0, 17)],
+        )
+    }
+
+    /// The named upload fixtures: a traced multi-chunk analysis upload
+    /// (21-byte header) and a legacy untraced ping (13-byte header).
+    pub fn uploads() -> Vec<(&'static str, Upload)> {
+        vec![
+            (
+                "upload_analyze_traced",
+                Upload {
+                    request: Request::Analyze {
+                        trace: multi_chunk_trace(),
+                        authenticate: true,
+                    },
+                    format: WireFormat::Binary,
+                    trace: TRACE_ID,
+                },
+            ),
+            (
+                "upload_ping_legacy",
+                Upload {
+                    request: Request::Ping,
+                    format: WireFormat::Binary,
+                    trace: 0,
+                },
+            ),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

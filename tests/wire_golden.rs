@@ -162,6 +162,56 @@ fn pre_trace_context_frames_decode_through_the_traced_entry_points() {
     }
 }
 
+/// Framed-upload fixtures pin the `StartTest` + `DataChunk` framing
+/// around a request body byte-for-byte in both directions: the committed
+/// bytes decode to the corpus value, and re-framing the corpus value
+/// reproduces the committed bytes.
+#[test]
+fn upload_golden_frames_are_byte_exact_in_both_directions() {
+    use medsen::gateway::wire::{decode_upload_traced, golden as uploads, CHUNK_SIZE};
+
+    let corpus = uploads::uploads();
+    assert_eq!(corpus.len(), 2, "upload corpus changed size");
+    for (name, fixture) in corpus {
+        let committed = read(name, "bin");
+        let (session, format, body, trace) = decode_upload_traced(&committed)
+            .unwrap_or_else(|e| panic!("{name}.bin no longer decodes: {e}"));
+        assert_eq!(session, uploads::SESSION_ID, "{name}.bin: session drifted");
+        assert_eq!(format, fixture.format, "{name}.bin: format drifted");
+        assert_eq!(trace, fixture.trace, "{name}.bin: header trace drifted");
+        let (request, body_trace) = decode_request_traced(format, &body)
+            .unwrap_or_else(|e| panic!("{name}.bin: body no longer decodes: {e}"));
+        assert_eq!(request, fixture.request, "{name}.bin decoded to a drifted value");
+        assert_eq!(body_trace, (fixture.trace != 0).then_some(fixture.trace));
+        assert_eq!(
+            fixture.encode(),
+            committed,
+            "{name}.bin: upload framing drifted"
+        );
+
+        // `[type u8][len u32 BE]` opens the StartTest header frame.
+        let header_len = u32::from_be_bytes(committed[1..5].try_into().unwrap());
+        if fixture.trace == 0 {
+            assert_eq!(header_len, 13, "{name}.bin: legacy header size");
+        } else {
+            assert_eq!(header_len, 21, "{name}.bin: traced header size");
+        }
+    }
+
+    let (_, analyze) = &uploads::uploads()[0];
+    let body_len = medsen::cloud::wire::encode_request_traced(
+        analyze.format,
+        &analyze.request,
+        analyze.trace,
+    )
+    .expect("encodes")
+    .len();
+    assert!(
+        body_len > 3 * CHUNK_SIZE && body_len % CHUNK_SIZE != 0,
+        "the analyze fixture must span three full chunks plus a remainder ({body_len} bytes)"
+    );
+}
+
 /// The corpus covers every variant of both enums — a new variant must
 /// grow the corpus (and the committed fixtures) or fail here.
 #[test]
