@@ -97,7 +97,14 @@ impl Executor {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.inner.shutting_down.store(true, Ordering::Release);
+        // The flag is set under the queue lock: a worker reads it under
+        // that lock and then waits, so setting it unlocked could land
+        // between its read and its wait and the notify below would be
+        // lost, leaving the join to hang.
+        {
+            let _queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.shutting_down.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -297,6 +304,36 @@ mod tests {
             assert!(spans.iter().all(|s| s.tag == i as u32));
         }
         executor.shutdown();
+    }
+
+    /// Shutdown never loses its wakeup: a worker that read the flag as
+    /// clear just before shutdown set it must still be woken. Thousands
+    /// of create/shutdown cycles run under a watchdog, so a lost wakeup
+    /// fails the test instead of hanging it.
+    #[test]
+    fn repeated_shutdowns_never_hang() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const CYCLES: usize = 2_000;
+        let (done, finished) = mpsc::channel();
+        let cycles = thread::spawn(move || {
+            for cycle in 0..CYCLES {
+                let executor = Executor::new(2);
+                if cycle % 2 == 0 {
+                    executor.spawn(async {}).join();
+                }
+                executor.shutdown();
+                done.send(cycle).expect("watchdog is listening");
+            }
+        });
+        for expected in 0..CYCLES {
+            match finished.recv_timeout(Duration::from_secs(10)) {
+                Ok(cycle) => assert_eq!(cycle, expected),
+                Err(e) => panic!("shutdown {expected} of {CYCLES} hung: {e}"),
+            }
+        }
+        cycles.join().expect("cycle thread panicked");
     }
 
     /// Redundant wakes collapse: waking an already-scheduled task many
