@@ -24,7 +24,9 @@
 //! it forever and simply mints a gateway-local trace. Any *other*
 //! header size is still [`UploadError::MalformedHeader`].
 
-use medsen_phone::frame::{chunk_data, Frame, FrameError, MessageType};
+use medsen_phone::frame::{
+    encode_frame_into, parse_frame, FrameError, MessageType, FRAME_OVERHEAD,
+};
 use medsen_wire::WireFormat;
 use std::fmt;
 
@@ -141,22 +143,30 @@ pub fn encode_upload_wire(session_id: u64, format: WireFormat, body: &[u8]) -> V
 /// phone-minted trace id in the 21-byte header. A zero `trace` (the
 /// reserved "no trace" value) produces the legacy 13-byte header,
 /// byte-identical to every pre-trace-context release.
+///
+/// The header frame and every `DataChunk` frame are written straight
+/// into one buffer sized up front.
 pub fn encode_upload_traced(
     session_id: u64,
     format: WireFormat,
     body: &[u8],
     trace: u64,
 ) -> Vec<u8> {
-    let mut header = Vec::with_capacity(TRACED_HEADER_BYTES);
-    header.extend_from_slice(&session_id.to_be_bytes());
-    header.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    header.push(format.tag());
-    if trace != 0 {
-        header.extend_from_slice(&trace.to_be_bytes());
-    }
-    let mut out = Frame::new(MessageType::StartTest, header).encode().to_vec();
-    for frame in chunk_data(body, CHUNK_SIZE) {
-        out.extend_from_slice(&frame.encode());
+    let mut header = [0u8; TRACED_HEADER_BYTES];
+    header[..8].copy_from_slice(&session_id.to_be_bytes());
+    header[8..12].copy_from_slice(&(body.len() as u32).to_be_bytes());
+    header[12] = format.tag();
+    header[HEADER_BYTES..].copy_from_slice(&trace.to_be_bytes());
+    let header = if trace != 0 {
+        &header[..]
+    } else {
+        &header[..HEADER_BYTES]
+    };
+    let frames = 1 + body.len().div_ceil(CHUNK_SIZE);
+    let mut out = Vec::with_capacity(frames * FRAME_OVERHEAD + header.len() + body.len());
+    encode_frame_into(MessageType::StartTest, header, &mut out);
+    for chunk in body.chunks(CHUNK_SIZE) {
+        encode_frame_into(MessageType::DataChunk, chunk, &mut out);
     }
     out
 }
@@ -169,15 +179,15 @@ pub fn encode_upload(session_id: u64, body: &str) -> Vec<u8> {
 }
 
 fn peek_header(wire: &[u8]) -> Option<(u64, WireFormat, u64)> {
-    let (header, _) = Frame::decode(wire).ok()?;
-    if header.msg_type != MessageType::StartTest
-        || !matches!(header.payload.len(), HEADER_BYTES | TRACED_HEADER_BYTES)
+    let (msg_type, header, _) = parse_frame(wire).ok()?;
+    if msg_type != MessageType::StartTest
+        || !matches!(header.len(), HEADER_BYTES | TRACED_HEADER_BYTES)
     {
         return None;
     }
-    let session_id = u64::from_be_bytes(header.payload[..8].try_into().ok()?);
-    let format = WireFormat::from_tag(header.payload[12])?;
-    let trace = match header.payload.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
+    let session_id = u64::from_be_bytes(header[..8].try_into().ok()?);
+    let format = WireFormat::from_tag(header[12])?;
+    let trace = match header.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
         Some(raw) => u64::from_be_bytes(raw.try_into().ok()?),
         None => 0,
     };
@@ -219,19 +229,20 @@ pub fn decode_upload(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>), UploadEr
 /// Reassembles a framed upload into
 /// `(session_id, wire_format, body, trace)`, where `trace` is the
 /// phone-minted trace id from a 21-byte traced header, or 0 for a
-/// legacy 13-byte header.
+/// legacy 13-byte header. Every frame's checksum is verified, and chunk
+/// payloads are appended to the body straight from `wire`.
 pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u64), UploadError> {
-    let (header, mut offset) = Frame::decode(wire)?;
-    if header.msg_type != MessageType::StartTest {
+    let (msg_type, header, mut offset) = parse_frame(wire)?;
+    if msg_type != MessageType::StartTest {
         return Err(UploadError::MissingHeader);
     }
-    if !matches!(header.payload.len(), HEADER_BYTES | TRACED_HEADER_BYTES) {
+    if !matches!(header.len(), HEADER_BYTES | TRACED_HEADER_BYTES) {
         return Err(UploadError::MalformedHeader);
     }
-    let session_id = u64::from_be_bytes(header.payload[..8].try_into().unwrap());
-    let declared = u32::from_be_bytes(header.payload[8..12].try_into().unwrap()) as usize;
-    let format_tag = header.payload[12];
-    let trace = match header.payload.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
+    let session_id = u64::from_be_bytes(header[..8].try_into().unwrap());
+    let declared = u32::from_be_bytes(header[8..12].try_into().unwrap()) as usize;
+    let format_tag = header[12];
+    let trace = match header.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
         Some(raw) => u64::from_be_bytes(raw.try_into().unwrap()),
         None => 0,
     };
@@ -248,13 +259,13 @@ pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u6
                 received: body.len(),
             });
         }
-        let (frame, used) = Frame::decode(&wire[offset..])?;
+        let (msg_type, payload, used) = parse_frame(&wire[offset..])?;
         offset += used;
-        if frame.msg_type != MessageType::DataChunk {
+        if msg_type != MessageType::DataChunk {
             // Interleaved non-data frame: tolerate progress/status chatter.
             continue;
         }
-        body.extend_from_slice(&frame.payload);
+        body.extend_from_slice(payload);
     }
     if body.len() > declared {
         // A chunk ran past the declared length. Truncating here would
@@ -362,6 +373,7 @@ pub mod golden {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medsen_phone::frame::Frame;
 
     #[test]
     fn round_trips_small_and_multi_chunk_bodies() {

@@ -7,7 +7,7 @@
 //! corruption; the message-type byte carries the AOAP handshake plus the
 //! MedSen data channel.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Message types on the accessory link.
@@ -91,19 +91,79 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
-/// Fletcher-16 checksum over type + payload.
-fn fletcher16(msg_type: u8, payload: &[u8]) -> u16 {
-    let mut a: u16 = 0;
-    let mut b: u16 = 0;
-    let mut step = |byte: u8| {
-        a = (a + u16::from(byte)) % 255;
-        b = (b + a) % 255;
-    };
-    step(msg_type);
-    for &byte in payload {
-        step(byte);
+/// Bytes a frame adds around its payload: type, length and checksum.
+pub const FRAME_OVERHEAD: usize = 1 + 4 + 2;
+
+/// Most bytes the Fletcher-16 sums can take in between reductions. Both
+/// sums enter a block below 255; after `n` bytes of `0xFF` the second
+/// sum is at most `254·(n + 1) + 255·n·(n + 1)/2`, which fits a `u32` up
+/// to `n = 5 802` and overflows at `n = 5 803`.
+const FLETCHER_BLOCK: usize = 5_802;
+
+/// Fletcher-16 checksum over type + payload: the modulo-255 running sums
+/// `a` of the bytes and `b` of the `a`s, returned as `(b << 8) | a`.
+///
+/// The sums run unreduced in `u32` over blocks of [`FLETCHER_BLOCK`]
+/// bytes and are reduced once per block; as addition commutes with
+/// reduction modulo 255, the result equals reducing after every byte.
+pub fn fletcher16(msg_type: u8, payload: &[u8]) -> u16 {
+    let mut a = u32::from(msg_type) % 255;
+    let mut b = a;
+    for block in payload.chunks(FLETCHER_BLOCK) {
+        for &byte in block {
+            a += u32::from(byte);
+            b += a;
+        }
+        a %= 255;
+        b %= 255;
     }
-    (b << 8) | a
+    ((b as u16) << 8) | a as u16
+}
+
+/// Appends one frame carrying `payload` to `out`, in the layout
+/// `[type: u8][len: u32 BE][payload][checksum: u16 BE]`.
+///
+/// # Panics
+///
+/// Panics if `payload` is longer than `u32::MAX` bytes, which the length
+/// prefix cannot express.
+pub fn encode_frame_into(msg_type: MessageType, payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
+    out.reserve(FRAME_OVERHEAD + payload.len());
+    out.push(msg_type as u8);
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fletcher16(msg_type as u8, payload).to_be_bytes());
+}
+
+/// Parses one frame from the front of `bytes` without copying, returning
+/// its type, its payload borrowed from `bytes`, and the number of bytes
+/// consumed.
+///
+/// # Errors
+///
+/// Returns a [`FrameError`] on truncation, bad type, or checksum failure.
+pub fn parse_frame(bytes: &[u8]) -> Result<(MessageType, &[u8], usize), FrameError> {
+    let [type_byte, l0, l1, l2, l3, rest @ ..] = bytes else {
+        return Err(FrameError::Truncated);
+    };
+    if rest.len() < 2 {
+        return Err(FrameError::Truncated);
+    }
+    let msg_type = MessageType::from_u8(*type_byte).ok_or(FrameError::UnknownType(*type_byte))?;
+    let declared = u32::from_be_bytes([*l0, *l1, *l2, *l3]) as usize;
+    let available = rest.len() - 2;
+    if available < declared {
+        return Err(FrameError::LengthMismatch {
+            declared,
+            available,
+        });
+    }
+    let (payload, tail) = rest.split_at(declared);
+    if u16::from_be_bytes([tail[0], tail[1]]) != fletcher16(*type_byte, payload) {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok((msg_type, payload, FRAME_OVERHEAD + declared))
 }
 
 impl Frame {
@@ -115,42 +175,23 @@ impl Frame {
         }
     }
 
-    /// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`.
+    /// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`
+    /// (see [`encode_frame_into`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 4 + self.payload.len() + 2);
-        buf.put_u8(self.msg_type as u8);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        buf.put_u16(fletcher16(self.msg_type as u8, &self.payload));
-        buf.freeze()
+        let mut buf = Vec::with_capacity(FRAME_OVERHEAD + self.payload.len());
+        encode_frame_into(self.msg_type, &self.payload, &mut buf);
+        Bytes::from(buf)
     }
 
     /// Decodes a frame from the front of `bytes`, returning it plus the
-    /// number of bytes consumed.
+    /// number of bytes consumed. An owning wrapper over [`parse_frame`].
     ///
     /// # Errors
     ///
     /// Returns a [`FrameError`] on truncation, bad type, or checksum failure.
-    pub fn decode(mut bytes: &[u8]) -> Result<(Self, usize), FrameError> {
-        if bytes.len() < 7 {
-            return Err(FrameError::Truncated);
-        }
-        let type_byte = bytes.get_u8();
-        let msg_type = MessageType::from_u8(type_byte).ok_or(FrameError::UnknownType(type_byte))?;
-        let declared = bytes.get_u32() as usize;
-        if bytes.len() < declared + 2 {
-            return Err(FrameError::LengthMismatch {
-                declared,
-                available: bytes.len().saturating_sub(2),
-            });
-        }
-        let payload = Bytes::copy_from_slice(&bytes[..declared]);
-        bytes.advance(declared);
-        let checksum = bytes.get_u16();
-        if checksum != fletcher16(type_byte, &payload) {
-            return Err(FrameError::ChecksumMismatch);
-        }
-        Ok((Self { msg_type, payload }, 1 + 4 + declared + 2))
+    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), FrameError> {
+        let (msg_type, payload, used) = parse_frame(bytes)?;
+        Ok((Self::new(msg_type, Bytes::copy_from_slice(payload)), used))
     }
 }
 
@@ -241,6 +282,85 @@ mod tests {
         let (second, _) = Frame::decode(&stream[used..]).unwrap();
         assert_eq!(first.payload.as_ref(), b"50%");
         assert_eq!(second.payload.as_ref(), b"99%");
+    }
+
+    /// The per-byte `% 255` loop the block-reduced kernel replaced, kept
+    /// as its reference.
+    fn fletcher16_bytewise(msg_type: u8, payload: &[u8]) -> u16 {
+        let mut a: u16 = 0;
+        let mut b: u16 = 0;
+        let mut step = |byte: u8| {
+            a = (a + u16::from(byte)) % 255;
+            b = (b + a) % 255;
+        };
+        step(msg_type);
+        for &byte in payload {
+            step(byte);
+        }
+        (b << 8) | a
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn fletcher16_equals_the_per_byte_oracle(
+                type_byte in any::<u8>(),
+                payload in proptest::collection::vec(any::<u8>(), 0..20_000),
+            ) {
+                prop_assert_eq!(
+                    fletcher16(type_byte, &payload),
+                    fletcher16_bytewise(type_byte, &payload)
+                );
+            }
+        }
+    }
+
+    /// All-`0xFF` payloads drive both sums to their largest values, so
+    /// lengths at and around multiples of the block bound are where a
+    /// wrong bound would overflow (a panic in debug builds) or reduce at
+    /// the wrong point.
+    #[test]
+    fn fletcher16_equals_the_oracle_on_saturated_payloads_at_block_bounds() {
+        let ones = vec![0xFF_u8; 3 * FLETCHER_BLOCK + 1];
+        for k in 1..=3 {
+            for len in [
+                k * FLETCHER_BLOCK - 1,
+                k * FLETCHER_BLOCK,
+                k * FLETCHER_BLOCK + 1,
+            ] {
+                for type_byte in 0..=u8::MAX {
+                    assert_eq!(
+                        fletcher16(type_byte, &ones[..len]),
+                        fletcher16_bytewise(type_byte, &ones[..len]),
+                        "type {type_byte:#04x}, {len} bytes"
+                    );
+                }
+            }
+        }
+        let mebibyte = vec![0xFF_u8; (1 << 20) + 3];
+        for type_byte in [0x00, 0x11, 0xFE, 0xFF] {
+            assert_eq!(
+                fletcher16(type_byte, &mebibyte),
+                fletcher16_bytewise(type_byte, &mebibyte)
+            );
+        }
+    }
+
+    #[test]
+    fn fletcher16_equals_the_oracle_for_every_type_byte() {
+        let payload: Vec<u8> = (0..4_099u32).map(|i| (i * 31 % 251) as u8).collect();
+        for type_byte in 0..=u8::MAX {
+            for len in [0, 1, 4_099] {
+                assert_eq!(
+                    fletcher16(type_byte, &payload[..len]),
+                    fletcher16_bytewise(type_byte, &payload[..len])
+                );
+            }
+        }
     }
 
     #[test]

@@ -67,19 +67,38 @@ impl std::error::Error for FrameError {}
 /// Panics if `payload` exceeds [`MAX_FRAME_BYTES`] minus the kind byte —
 /// such a frame could never be decoded again.
 pub fn encode_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    let body_len = payload.len() + 1;
-    assert!(
-        body_len <= MAX_FRAME_BYTES,
-        "frame body of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-    );
     out.reserve(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    let crc_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    out.push(kind);
+    let start = open_frame(kind, out);
     out.extend_from_slice(payload);
-    let crc = crc32(&out[crc_at + 4..]);
-    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    seal_frame(out, start);
+}
+
+/// Starts a frame at the end of `out`: reserves the `len` and `crc`
+/// fields and writes `kind`. The caller appends the payload after it and
+/// then calls [`seal_frame`] with the returned start offset, so a payload
+/// can be encoded in place instead of being copied into the frame.
+pub(crate) fn open_frame(kind: u8, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.push(kind);
+    start
+}
+
+/// Completes the frame [`open_frame`] started at `start`, which must run
+/// to the end of `out`: fills in its `len` and `crc` fields.
+///
+/// # Panics
+///
+/// Panics if the body exceeds [`MAX_FRAME_BYTES`].
+pub(crate) fn seal_frame(out: &mut [u8], start: usize) {
+    let (header, body) = out[start..].split_at_mut(8);
+    assert!(
+        body.len() <= MAX_FRAME_BYTES,
+        "frame body of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+        body.len()
+    );
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// Convenience: encodes one frame into a fresh buffer.

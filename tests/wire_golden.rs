@@ -181,7 +181,10 @@ fn upload_golden_frames_are_byte_exact_in_both_directions() {
         assert_eq!(trace, fixture.trace, "{name}.bin: header trace drifted");
         let (request, body_trace) = decode_request_traced(format, &body)
             .unwrap_or_else(|e| panic!("{name}.bin: body no longer decodes: {e}"));
-        assert_eq!(request, fixture.request, "{name}.bin decoded to a drifted value");
+        assert_eq!(
+            request, fixture.request,
+            "{name}.bin decoded to a drifted value"
+        );
         assert_eq!(body_trace, (fixture.trace != 0).then_some(fixture.trace));
         assert_eq!(
             fixture.encode(),
@@ -199,13 +202,10 @@ fn upload_golden_frames_are_byte_exact_in_both_directions() {
     }
 
     let (_, analyze) = &uploads::uploads()[0];
-    let body_len = medsen::cloud::wire::encode_request_traced(
-        analyze.format,
-        &analyze.request,
-        analyze.trace,
-    )
-    .expect("encodes")
-    .len();
+    let body_len =
+        medsen::cloud::wire::encode_request_traced(analyze.format, &analyze.request, analyze.trace)
+            .expect("encodes")
+            .len();
     assert!(
         body_len > 3 * CHUNK_SIZE && body_len % CHUNK_SIZE != 0,
         "the analyze fixture must span three full chunks plus a remainder ({body_len} bytes)"
