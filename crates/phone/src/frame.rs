@@ -305,16 +305,17 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+            #![proptest_config(ProptestConfig::with_cases(24))]
             #[test]
-            fn fletcher16_equals_the_per_byte_oracle(
-                type_byte in any::<u8>(),
-                payload in proptest::collection::vec(any::<u8>(), 0..20_000),
+            fn fletcher16_equals_the_per_byte_oracle_for_every_type_byte(
+                payload in proptest::collection::vec(any::<u8>(), 0..12_000),
             ) {
-                prop_assert_eq!(
-                    fletcher16(type_byte, &payload),
-                    fletcher16_bytewise(type_byte, &payload)
-                );
+                for type_byte in 0..=u8::MAX {
+                    prop_assert_eq!(
+                        fletcher16(type_byte, &payload),
+                        fletcher16_bytewise(type_byte, &payload)
+                    );
+                }
             }
         }
     }
@@ -347,19 +348,6 @@ mod tests {
                 fletcher16(type_byte, &mebibyte),
                 fletcher16_bytewise(type_byte, &mebibyte)
             );
-        }
-    }
-
-    #[test]
-    fn fletcher16_equals_the_oracle_for_every_type_byte() {
-        let payload: Vec<u8> = (0..4_099u32).map(|i| (i * 31 % 251) as u8).collect();
-        for type_byte in 0..=u8::MAX {
-            for len in [0, 1, 4_099] {
-                assert_eq!(
-                    fletcher16(type_byte, &payload[..len]),
-                    fletcher16_bytewise(type_byte, &payload[..len])
-                );
-            }
         }
     }
 

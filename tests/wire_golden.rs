@@ -207,7 +207,7 @@ fn upload_golden_frames_are_byte_exact_in_both_directions() {
             .expect("encodes")
             .len();
     assert!(
-        body_len > 3 * CHUNK_SIZE && body_len % CHUNK_SIZE != 0,
+        body_len > 3 * CHUNK_SIZE && !body_len.is_multiple_of(CHUNK_SIZE),
         "the analyze fixture must span three full chunks plus a remainder ({body_len} bytes)"
     );
 }

@@ -284,6 +284,42 @@ proptest! {
     }
 }
 
+/// CRC-32 one bit at a time, straight from the polynomial: the reference
+/// the table-driven kernel must equal.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shared CRC-32 equals the bitwise reference for random inputs
+    /// of any length up to 70 000 bytes, starting at each of the sixteen
+    /// offsets a 16-byte block can have from the buffer's start.
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_alignment(
+        data in proptest::collection::vec(any::<u8>(), 0..=70_000),
+    ) {
+        let want = crc32_bitwise(&data);
+        let mut buf = vec![0xA5_u8; data.len() + 16];
+        for start in 0..16 {
+            buf[start..start + data.len()].copy_from_slice(&data);
+            prop_assert_eq!(medsen::wire::crc32(&buf[start..start + data.len()]), want);
+        }
+    }
+}
+
 /// The fountain crate's deliberately-frozen CRC-32 copy must stay
 /// bit-equal to the shared `medsen-wire` implementation, forever: the
 /// symbol frame checksum is a wire contract with deployed one-way
