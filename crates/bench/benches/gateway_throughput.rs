@@ -13,8 +13,7 @@ use medsen_cloud::auth::BeadSignature;
 use medsen_cloud::identity_hash;
 use medsen_cloud::service::{CloudService, Request, Response};
 use medsen_gateway::{
-    wire, Gateway, GatewayConfig, PendingReply, RuntimeKind, SamplerMode, ShedPolicy,
-    TelemetryConfig,
+    wire, Gateway, GatewayConfig, PendingReply, SamplerMode, ShedPolicy, TelemetryConfig,
 };
 use medsen_impedance::{PulseSpec, SignalTrace, TraceSynthesizer};
 use medsen_microfluidics::ParticleKind;
@@ -258,7 +257,6 @@ fn telemetry_overhead(c: &mut Criterion) {
                     workers: WORKERS,
                     shed_policy: ShedPolicy::Block,
                 },
-                RuntimeKind::default(),
                 telemetry,
             );
             b.iter(|| {

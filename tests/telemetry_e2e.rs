@@ -58,7 +58,6 @@ fn every_completed_request_yields_a_full_span_chain() {
             workers: 4,
             shed_policy: ShedPolicy::Block,
         },
-        RuntimeKind::Async,
         TelemetryConfig {
             spans: true,
             // Oversized relative to SESSIONS * stage-count so the seqlock
